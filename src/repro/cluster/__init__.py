@@ -11,13 +11,19 @@ reproduced faithfully.
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.message import Message, payload_size
 from repro.cluster.network import Network, NetworkStats
-from repro.cluster.tcp import TcpExecutor, WorkerHost, WorkerTransportError
+from repro.cluster.tcp import (
+    ProcessExecutor,
+    TcpExecutor,
+    WorkerHost,
+    WorkerTransportError,
+)
 
 __all__ = [
     "Message",
     "payload_size",
     "Network",
     "NetworkStats",
+    "ProcessExecutor",
     "SimulatedCluster",
     "TcpExecutor",
     "WorkerHost",

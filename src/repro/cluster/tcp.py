@@ -1,59 +1,66 @@
-"""Remote worker hosts over TCP: ``executor="tcp"``.
+"""Worker hosts over sockets: ``executor="processes"`` and ``executor="tcp"``.
 
 The paper's DSR system is a master/slave deployment where each slave holds
-one graph partition and answers local/remote steps over the network.  The
-``processes`` executor already gives the *shape* of that deployment on one
-box (long-lived workers, hydrate-once-per-epoch, shard tasks, piggybacked
-metrics deltas); this module swaps its pipe transport for a socket so the
-workers can live in *other processes reachable over TCP* — on this machine
-or, with ``worker_hosts=[...]``, on other machines.
-
-Two pieces:
+one graph partition and answers local/remote steps over the network.  This
+module is the one runtime for such slaves:
 
 :class:`WorkerHost`
-    A standalone server process holding hydrated shards and running
-    registered shard tasks.  Start one per slave (``repro-dsr worker-host``)
-    and point an engine at it.  The request loop mirrors
-    ``_process_worker_main`` exactly — messages are the same tuples with a
-    ``rank`` slot added (one host may serve several ranks), replies are the
-    same ``("ok", result, seconds, delta)`` / ``("stale", ...)`` /
-    ``("error", ...)`` triples, so the StaleEpochError/retry and metrics
-    ``absorb()`` contracts hold unchanged.
+    A standalone server holding hydrated shards (in a
+    :class:`~repro.cluster.executors.ShardStore` keyed ``(rank, epoch)``; one
+    host may serve several ranks) and running registered shard tasks.  Start
+    one per slave (``repro-dsr worker-host``) and point an engine at it.
+    Replies are ``("ok", result, seconds, delta)`` / ``("stale", ...)`` /
+    ``("error", ...)``, so the StaleEpochError/retry and metrics ``absorb()``
+    contracts hold.
 
 :class:`TcpExecutor`
     The :class:`~repro.cluster.executors.ExecutorBackend` connecting one
     socket per rank.  With no ``worker_hosts`` it **manages** its own fleet:
     one local :class:`WorkerHost` subprocess per rank, forked so they
-    inherit the parent's shard-task registry (exactly like process
-    workers).  With ``worker_hosts=["host:port", ...]`` it connects to
-    **external** hosts, rank ``r`` mapping to ``hosts[r % len(hosts)]``.
+    inherit the parent's shard-task registry.  With
+    ``worker_hosts=["host:port", ...]`` it connects to **external** hosts,
+    rank ``r`` mapping to ``hosts[r % len(hosts)]``.
 
-Hydration across the wire
--------------------------
-Shared memory cannot cross a socket, so ``supports_shm_hydration = False``
+:class:`ProcessExecutor`
+    ``executor="processes"``: a managed :class:`TcpExecutor` whose hosts
+    share this machine's memory, so hydration blobs carry shared-memory
+    segment names instead of CSR payloads.
+
+Hydration
+---------
+``tcp`` cannot assume shared memory, so ``supports_shm_hydration = False``
 makes the index build *self-contained* shard blobs
 (:func:`repro.core.shard_exec.build_shard_blob` with ``ledger=None``): the
 CSR arrays travel inside the pickled blob (`CSRGraph.to_bytes` form), one
-transfer per rank per epoch, and the host keeps the hydrated shard across
-any number of queries.
+transfer per rank per epoch.  ``processes`` hydrates by segment name (see
+:mod:`repro.cluster.shm`) unless ``REPRO_SHM=0``.  Either way the host keeps
+the hydrated shard across any number of queries.
 
 Failure handling
 ----------------
-Every hydrate message is cached per rank (the same ``_hydration_cache``
-pattern as :class:`~repro.cluster.executors.ProcessExecutor`).  When a send
-or receive fails, the executor reconnects — respawning the subprocess first
-in managed mode — **replays the cached hydrations** so the substitute holds
-every retained epoch, then retries the in-flight message once.  A worker
-host killed and restarted mid-epoch is therefore invisible above the
-executor, which is what the kill/reconnect acceptance test exercises.
+Every hydrate message is cached per rank.  When a send or receive fails, the
+executor reconnects — respawning the subprocess first in managed mode —
+**replays the cached hydrations** so the substitute holds every retained
+epoch, then retries the in-flight message once per attempt.  A worker host
+killed and restarted mid-epoch, even again during the replay, is therefore
+invisible above the executor.  An active query deadline bounds every RPC
+(the remaining budget is the socket timeout) and the reconnect loop.
 
-Wire format: ``[u64 length][pickle]`` per message, both directions.  This
-is a trusted-cluster transport (pickle!), matching the paper's deployment
-model; do not expose worker hosts to untrusted networks.
+Wire format: ``[u64 length][pickle]`` per message, both directions, at
+most :data:`MAX_RPC_BYTES` each; a larger message raises
+:class:`RpcMessageTooLargeError` (never retried).  A managed fleet's hosts
+accept only their executor: the executor draws a random key, the forked
+host inherits it, and every connection must answer a keyed-BLAKE2b
+challenge before the host unpickles a byte.  External hosts take no key — theirs is a
+trusted-cluster transport (pickle!), matching the paper's deployment model;
+do not expose them to untrusted networks.
 """
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+import os
 import pickle
 import socket
 import struct
@@ -66,14 +73,11 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.cluster.executors import (
     DEFAULT_TASK_MODULES,
     ExecutorBackend,
+    ShardStore,
     ShardTaskError,
     StaleEpochError,
-    _close_shard,
     _import_task_modules,
-    _record_hydration,
-    _record_shard_task,
-    _resolve_loader,
-    _resolve_task,
+    _timed_call,
 )
 from repro.obs import runtime as obs_runtime
 from repro.resilience.backoff import BackoffPolicy
@@ -86,17 +90,39 @@ _LENGTH = struct.Struct(">Q")
 #: fast, not allocate the universe.
 MAX_RPC_BYTES = 128 * 1024 * 1024
 
+#: Size of a managed host's challenge nonce and of the MAC answering it.
+_CHALLENGE_BYTES = 32
+#: How long a connecting client may take to answer the challenge.
+_HANDSHAKE_TIMEOUT_SECONDS = 5.0
+
 
 class WorkerTransportError(ConnectionError):
     """A worker-host RPC failed after reconnect attempts were exhausted."""
 
 
+class RpcMessageTooLargeError(ValueError):
+    """A message exceeds :data:`MAX_RPC_BYTES`.
+
+    Deliberately not a :class:`ConnectionError`: resending the same message
+    to a fresh connection cannot succeed, so it is never reconnected or
+    retried.
+    """
+
+
 # ---------------------------------------------------------------------- #
 # framing helpers
 # ---------------------------------------------------------------------- #
-def _send_obj(sock: socket.socket, obj: Any) -> None:
+def _frame(obj: Any) -> bytes:
     data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_LENGTH.pack(len(data)) + data)
+    if len(data) > MAX_RPC_BYTES:
+        raise RpcMessageTooLargeError(
+            f"rpc message of {len(data)} bytes exceeds the {MAX_RPC_BYTES}-byte cap"
+        )
+    return _LENGTH.pack(len(data)) + data
+
+
+def _send_obj(sock: socket.socket, obj: Any) -> None:
+    sock.sendall(_frame(obj))
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -116,6 +142,27 @@ def _recv_obj(sock: socket.socket) -> Any:
     return pickle.loads(_recv_exact(sock, length))
 
 
+def _challenge_digest(authkey: bytes, nonce: bytes) -> bytes:
+    # Keyed BLAKE2b is a MAC in its own right, and unlike HMAC-SHA256 it
+    # does not initialise OpenSSL's digest machinery in every worker host
+    # (about 1 MiB of resident memory per process).
+    return hashlib.blake2b(nonce, key=authkey, digest_size=_CHALLENGE_BYTES).digest()
+
+
+def _deliver_challenge(sock: socket.socket, authkey: bytes) -> None:
+    """Host side: raise unless the peer proves it holds ``authkey``."""
+    nonce = os.urandom(_CHALLENGE_BYTES)
+    sock.sendall(nonce)
+    answer = _recv_exact(sock, _CHALLENGE_BYTES)
+    if not hmac.compare_digest(answer, _challenge_digest(authkey, nonce)):
+        raise ConnectionError("worker host authentication failed")
+
+
+def _answer_challenge(sock: socket.socket, authkey: bytes) -> None:
+    """Client side of :func:`_deliver_challenge`."""
+    sock.sendall(_challenge_digest(authkey, _recv_exact(sock, _CHALLENGE_BYTES)))
+
+
 def parse_host_port(spec: str) -> Tuple[str, int]:
     """Parse ``"host:port"`` (the ``worker_hosts`` entry format)."""
     host, sep, port = str(spec).rpartition(":")
@@ -126,6 +173,12 @@ def parse_host_port(spec: str) -> Tuple[str, int]:
     return host, int(port)
 
 
+def _count(metric: str) -> None:
+    registry = obs_runtime.global_registry()
+    if registry.enabled:
+        registry.inc(metric)
+
+
 # ---------------------------------------------------------------------- #
 # the worker host
 # ---------------------------------------------------------------------- #
@@ -134,7 +187,9 @@ class WorkerHost:
 
     ``allow_shutdown`` lets a ``("shutdown",)`` message stop the whole host
     (managed subprocess fleets use it); external hosts default to ignoring
-    it so one departing client cannot kill a shared slave.
+    it so one departing client cannot kill a shared slave.  With an
+    ``authkey`` a connection is served only after it answers a MAC
+    challenge for that key; any other peer is dropped unread.
     ``collect_deltas=False`` turns off metrics-delta shipping for hosts
     embedded in the engine's own process (tests), where recordings already
     land in the master registry and shipping them would double-count.
@@ -147,18 +202,18 @@ class WorkerHost:
         task_modules: Sequence[str] = DEFAULT_TASK_MODULES,
         allow_shutdown: bool = False,
         collect_deltas: bool = True,
+        authkey: Optional[bytes] = None,
     ) -> None:
         self._task_modules = tuple(task_modules)
         self._allow_shutdown = allow_shutdown
+        self._authkey = authkey
         self._collect_deltas = collect_deltas
         self._socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._socket.bind((host, port))
         self._socket.listen(64)
         self.address: Tuple[str, int] = self._socket.getsockname()[:2]
-        #: (rank, epoch) -> hydrated shard.  One host may serve many ranks.
-        self._shards: Dict[Tuple[int, int], Any] = {}
-        self._shard_lock = threading.Lock()
+        self._store = ShardStore()
         self._stopped = threading.Event()
         self._acceptor: Optional[threading.Thread] = None
         self._connections: set = set()
@@ -211,10 +266,7 @@ class WorkerHost:
                 connection.close()
             except OSError:
                 pass
-        with self._shard_lock:
-            shards, self._shards = dict(self._shards), {}
-        for shard in shards.values():
-            _close_shard(shard)
+        self._store.close()
 
     def __enter__(self) -> "WorkerHost":
         return self.start()
@@ -248,6 +300,13 @@ class WorkerHost:
 
     def _serve_connection_inner(self, connection: socket.socket) -> None:
         with connection:
+            if self._authkey is not None:
+                connection.settimeout(_HANDSHAKE_TIMEOUT_SECONDS)
+                try:
+                    _deliver_challenge(connection, self._authkey)
+                except (EOFError, OSError, ConnectionError):
+                    return
+                connection.settimeout(None)
             while not self._stopped.is_set():
                 try:
                     message = _recv_obj(connection)
@@ -274,6 +333,12 @@ class WorkerHost:
                     reply = ("error", "TaskError", traceback.format_exc())
                 try:
                     _send_obj(connection, reply)
+                except RpcMessageTooLargeError as exc:
+                    reply = ("error", "RpcMessageTooLargeError", str(exc))
+                    try:
+                        _send_obj(connection, reply)
+                    except OSError:
+                        break
                 except OSError:
                     break
 
@@ -283,53 +348,30 @@ class WorkerHost:
             return ("ok", "pong", 0.0, None)
         if kind == "hydrate":
             _, rank, epoch, loader_name, blob, retire_below = message
-            start = time.perf_counter()
-            shard = _resolve_loader(loader_name)(blob)
-            retired: List[Any] = []
-            with self._shard_lock:
-                previous = self._shards.get((rank, epoch))
-                if previous is not None and previous is not shard:
-                    retired.append(previous)
-                self._shards[(rank, epoch)] = shard
-                if retire_below is not None:
-                    for key in [
-                        k for k in self._shards if k[0] == rank and k[1] < retire_below
-                    ]:
-                        retired.append(self._shards.pop(key))
-            for old in retired:
-                _close_shard(old)
-            _record_hydration(time.perf_counter() - start)
+            self._store.hydrate(rank, epoch, blob, loader_name, retire_below)
             return ("ok", None, 0.0, self._delta())
         if kind == "task":
             _, rank, task_name, epoch, payload = message
-            with self._shard_lock:
-                if epoch is not None and (rank, epoch) not in self._shards:
-                    available = sorted(e for r, e in self._shards if r == rank)
-                    return ("stale", epoch, available, self._delta())
-                shard = self._shards.get((rank, epoch))
-            fn = _resolve_task(task_name)
-            start = time.perf_counter()
-            result = fn(shard, payload)
-            seconds = time.perf_counter() - start
-            _record_shard_task(task_name, seconds)
+            result, seconds = self._store.run(rank, task_name, epoch, payload)
             return ("ok", result, seconds, self._delta())
         return ("error", "ProtocolError", f"unknown command {kind!r}")
 
     @property
     def epochs_held(self) -> Dict[int, Tuple[int, ...]]:
         """``{rank: epochs}`` currently hydrated (introspection for tests)."""
-        with self._shard_lock:
-            held: Dict[int, List[int]] = {}
-            for rank, epoch in self._shards:
-                held.setdefault(rank, []).append(epoch)
-        return {rank: tuple(sorted(epochs)) for rank, epochs in held.items()}
+        return self._store.epochs_held()
 
 
-def _worker_host_process_main(pipe, task_modules: Sequence[str]) -> None:
+def _worker_host_process_main(
+    pipe, task_modules: Sequence[str], authkey: bytes
+) -> None:
     """Managed-fleet subprocess body: serve one host, report its port."""
     obs_runtime.reset_for_worker()
     host = WorkerHost(
-        task_modules=task_modules, allow_shutdown=True, collect_deltas=True
+        task_modules=task_modules,
+        allow_shutdown=True,
+        collect_deltas=True,
+        authkey=authkey,
     )
     host.start()
     pipe.send(host.address)
@@ -383,6 +425,10 @@ class TcpExecutor(ExecutorBackend):
         self._locks: Dict[int, threading.Lock] = {}
         #: Managed mode: rank -> subprocess serving that rank's host.
         self._managed: Dict[int, Any] = {}
+        #: Managed mode: the key only this executor's connections answer.
+        self._authkey: Optional[bytes] = (
+            os.urandom(32) if self._external is None else None
+        )
         self._dispatch: Optional[ThreadPoolExecutor] = None
         self._lifecycle = threading.Lock()
         self._closed = False
@@ -400,31 +446,45 @@ class TcpExecutor(ExecutorBackend):
         except ValueError:  # pragma: no cover - non-POSIX fallback
             return multiprocessing.get_context()
 
-    def _spawn_host(self, rank: int) -> None:
-        """Managed mode: start a local WorkerHost subprocess for ``rank``."""
+    def _spawn_hosts(self, ranks: Sequence[int]) -> None:
+        """Managed mode: start a local WorkerHost subprocess per rank.
+
+        Every host is forked before any port is awaited, so the hosts'
+        start-up overlaps instead of adding up.
+        """
         context = self._fork_context()
-        parent_pipe, child_pipe = context.Pipe()
-        process = context.Process(
-            target=_worker_host_process_main,
-            args=(child_pipe, self._task_modules),
-            name=f"worker-host-{rank}",
-            daemon=True,
-        )
-        process.start()
-        child_pipe.close()
-        if not parent_pipe.poll(10.0):  # pragma: no cover - startup hang
-            process.terminate()
-            raise WorkerTransportError(f"worker host {rank} failed to start")
-        self._addresses[rank] = tuple(parent_pipe.recv())
-        parent_pipe.close()
-        self._managed[rank] = process
+        pipes = {}
+        for rank in ranks:
+            parent_pipe, child_pipe = context.Pipe()
+            process = context.Process(
+                target=_worker_host_process_main,
+                args=(child_pipe, self._task_modules, self._authkey),
+                name=f"worker-host-{rank}",
+                daemon=True,
+            )
+            process.start()
+            child_pipe.close()
+            self._managed[rank] = process
+            pipes[rank] = parent_pipe
+        for rank, parent_pipe in pipes.items():
+            with parent_pipe:
+                if not parent_pipe.poll(10.0):  # pragma: no cover - startup hang
+                    self._managed[rank].terminate()
+                    raise WorkerTransportError(f"worker host {rank} failed to start")
+                self._addresses[rank] = tuple(parent_pipe.recv())
 
     def _connect(self, rank: int) -> socket.socket:
         sock = socket.create_connection(
             self._addresses[rank], timeout=self._connect_timeout
         )
-        sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self._authkey is not None:
+            try:
+                _answer_challenge(sock, self._authkey)
+            except BaseException:
+                sock.close()
+                raise
+        sock.settimeout(None)
         self._sockets[rank] = sock
         return sock
 
@@ -434,16 +494,20 @@ class TcpExecutor(ExecutorBackend):
                 raise RuntimeError("executor is closed")
             if self._started:
                 return
-            # Import task modules in the parent before forking so managed
-            # hosts inherit the registry (same reasoning as ProcessExecutor).
+            # Import the task modules in the PARENT before forking: managed
+            # hosts then resolve them straight from the inherited
+            # sys.modules instead of running a real import — which could
+            # deadlock on an import lock some other parent thread held at
+            # fork time (e.g. another engine's maintenance thread).
             _import_task_modules(self._task_modules)
-            for rank in range(self.num_workers):
+            ranks = range(self.num_workers)
+            if self._external is None:
+                self._spawn_hosts(ranks)
+            for rank in ranks:
                 if self._external is not None:
                     self._addresses[rank] = self._external[
                         rank % len(self._external)
                     ]
-                else:
-                    self._spawn_host(rank)
                 self._connect(rank)
                 self._locks[rank] = threading.Lock()
             self._dispatch = ThreadPoolExecutor(
@@ -533,7 +597,8 @@ class TcpExecutor(ExecutorBackend):
                     process = self._managed.get(rank)
                     if process is not None and not process.is_alive():
                         process.join(timeout=0.5)
-                        self._spawn_host(rank)
+                        self._spawn_hosts([rank])
+                        _count("dsr_worker_respawns_total")
                 except (EOFError, OSError, ConnectionError, WorkerTransportError) as exc:
                     last_error = exc
                     continue
@@ -562,9 +627,7 @@ class TcpExecutor(ExecutorBackend):
                 last_error = exc
                 self._drop_socket(rank)
                 continue
-            registry = obs_runtime.global_registry()
-            if registry.enabled:
-                registry.inc("dsr_worker_reconnects_total")
+            _count("dsr_worker_reconnects_total")
             return reply
         raise WorkerTransportError(
             f"worker {rank} at {self._addresses.get(rank)} unreachable after "
@@ -599,6 +662,9 @@ class TcpExecutor(ExecutorBackend):
                 try:
                     if sock is None:
                         raise ConnectionError("not connected")
+                    # Framed before the socket is touched: an oversized
+                    # message raises with the connection still in sync.
+                    frame = _frame(message)
                     failpoint("tcp.call", rank=rank, kind=message[0])
                     if deadline is not None:
                         remaining = deadline.remaining_seconds()
@@ -608,7 +674,7 @@ class TcpExecutor(ExecutorBackend):
                         # timeout: a wedged host yields a typed deadline
                         # error, not an indefinite recv.
                         sock.settimeout(remaining)
-                    _send_obj(sock, message)
+                    sock.sendall(frame)
                     failpoint("tcp.recv", rank=rank, kind=message[0])
                     reply = _recv_obj(sock)
                     if deadline is not None:
@@ -667,9 +733,7 @@ class TcpExecutor(ExecutorBackend):
     # -- backend API ----------------------------------------------------- #
     def run_phase(self, fns):
         # Closures cannot cross the socket; closure phases (index build,
-        # maintenance assembly) run at the master, as with ProcessExecutor.
-        from repro.cluster.executors import _timed_call
-
+        # maintenance assembly) run at the master.
         return {rank: _timed_call(fn) for rank, fn in fns.items()}
 
     def run_shard_phase(
@@ -699,11 +763,7 @@ class TcpExecutor(ExecutorBackend):
         loader: str,
         retire_below: Optional[int] = None,
     ) -> None:
-        self._ensure_started()
-        failpoint("tcp.hydrate", rank=rank, epoch=epoch)
-        message = ("hydrate", rank, epoch, loader, blob, retire_below)
-        self._remember_hydration(rank, epoch, message, retire_below)
-        self._call_worker(rank, message)
+        self.hydrate_all(epoch, {rank: blob}, loader, retire_below=retire_below)
 
     def hydrate_all(
         self,
@@ -734,8 +794,17 @@ class TcpExecutor(ExecutorBackend):
         return dict(self._addresses)
 
 
+class ProcessExecutor(TcpExecutor):
+    """``executor="processes"``: a managed local fleet hydrated by shm name."""
+
+    name = "processes"
+    supports_shm_hydration = True
+
+
 __all__ = [
     "MAX_RPC_BYTES",
+    "ProcessExecutor",
+    "RpcMessageTooLargeError",
     "TcpExecutor",
     "WorkerHost",
     "WorkerTransportError",

@@ -474,7 +474,7 @@ class DSRIndex:
         return self._shm_ledger
 
     def _record_publish_bytes(self, blobs) -> None:
-        """Account the bytes each publish pushes through worker pipes.
+        """Account the bytes each publish pushes through worker sockets.
 
         ``dsr_epoch_publish_bytes`` is the exact pickled size of every
         hydration blob of the publish — in shm mode the blobs carry segment

@@ -14,16 +14,16 @@ schedule (which hit of which site fails, how many times) and replays it
 identically on every run — no random process killers.
 
 Sites wired into the codebase (the catalog lives in
-``docs/RESILIENCE.md``):
+``docs/RESILIENCE.md``); the ``tcp.*`` sites fire for both worker-host
+executors, ``processes`` and ``tcp``:
 
 ==========================  =====================================================
 site                        seam
 ==========================  =====================================================
 ``tcp.call``                :meth:`TcpExecutor._call_worker` send side
 ``tcp.recv``                :meth:`TcpExecutor._call_worker` receive side
-``tcp.hydrate``             :meth:`TcpExecutor.hydrate` / ``hydrate_all``
+``tcp.hydrate``             :meth:`TcpExecutor.hydrate_all`
 ``tcp.hydrate.replay``      reconnect-time hydration replay
-``executor.dispatch``       :meth:`ProcessExecutor._call_worker`
 ``shm.attach``              worker-side shared-memory attach
 ``shm.unlink``              master-side segment destroy
 ``fleet.rebuild``           :meth:`FleetReplica._do_rebuild`

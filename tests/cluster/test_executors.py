@@ -14,7 +14,7 @@ import pytest
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.executors import (
     EXECUTOR_NAMES,
-    ProcessExecutor,
+    ShardStore,
     ShardTaskError,
     StaleEpochError,
     make_executor,
@@ -22,6 +22,7 @@ from repro.cluster.executors import (
     register_shard_task,
 )
 from repro.cluster.network import Network, NetworkStats
+from repro.cluster.tcp import ProcessExecutor
 
 EXECUTORS = tuple(
     name.strip()
@@ -52,6 +53,20 @@ def _epoch(shard, payload):
 @register_shard_task("test.boom")
 def _boom(shard, payload):
     raise ValueError("intentional")
+
+
+class _Closable:
+    def __init__(self, blob):
+        self.blob = blob
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+
+
+@register_shard_loader("test.closable")
+def _load_closable(blob):
+    return _Closable(blob)
 
 
 def _hydrated_cluster(executor, num_workers=3, epoch=0):
@@ -130,6 +145,30 @@ class TestShardPhases:
         assert phase.real_seconds >= 0.0
         assert cluster.snapshot()["real_seconds"] >= 0.0
         cluster.close()
+
+
+class TestShardStore:
+    """The one put/retire/close rule every worker (in-process or host) uses."""
+
+    def test_replace_retire_and_close_release_shards(self):
+        store = ShardStore()
+        store.hydrate(0, 1, "a", "test.closable")
+        first = store.get(0, 1)
+        store.hydrate(0, 1, "b", "test.closable")
+        assert first.closed and store.get(0, 1).blob == "b"
+        store.hydrate(1, 1, "other rank", "test.closable")
+        store.hydrate(0, 3, "c", "test.closable", retire_below=2)
+        replaced = store.get(0, 3)
+        # Retirement is per rank: rank 1's epoch 1 survives.
+        assert store.epochs_held() == {0: (3,), 1: (1,)}
+        with pytest.raises(StaleEpochError) as info:
+            store.get(0, 1)
+        assert info.value.available == (3,)
+        assert store.get(0, None) is None
+        survivor = store.get(1, 1)
+        store.close()
+        assert replaced.closed and survivor.closed
+        assert store.epochs_held() == {}
 
 
 class TestProcessExecutor:

@@ -8,7 +8,10 @@ engine parity against the serial executor.
 """
 
 import os
+import pickle
 import signal
+import socket
+import struct
 import time
 
 import pytest
@@ -21,7 +24,10 @@ from repro.cluster.executors import (
     register_shard_loader,
     register_shard_task,
 )
+from repro.cluster import tcp
 from repro.cluster.tcp import (
+    ProcessExecutor,
+    RpcMessageTooLargeError,
     TcpExecutor,
     WorkerHost,
     WorkerTransportError,
@@ -30,6 +36,7 @@ from repro.cluster.tcp import (
 from repro.core.engine import DSREngine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
+from repro.obs import use_registry
 
 
 # Module-level tasks: managed hosts inherit these via fork, and in-process
@@ -47,6 +54,11 @@ def _scale(shard, payload):
 @register_shard_task("tcptest.rank_epoch")
 def _rank_epoch(shard, payload):
     return (shard["rank"], shard["epoch"])
+
+
+@register_shard_task("tcptest.bytes")
+def _bytes(shard, payload):
+    return b"x" * payload
 
 
 @register_shard_task("tcptest.boom")
@@ -176,10 +188,14 @@ class TestManagedFleet:
             victim.join(timeout=5.0)
             # The next phase hits a dead socket: the executor respawns the
             # host, replays hydration for epoch 0 and retries transparently.
-            assert cluster.run_shard_phase(
-                "scale", "tcptest.scale", {0: 4, 1: 4}, epoch=0
-            ) == {0: 4, 1: 8}
+            with use_registry() as registry:
+                assert cluster.run_shard_phase(
+                    "scale", "tcptest.scale", {0: 4, 1: 4}, epoch=0
+                ) == {0: 4, 1: 8}
             assert executor._managed[0].pid != victim.pid
+            # One substitute process, one successful reconnect.
+            assert registry.counter_total("dsr_worker_respawns_total") == 1
+            assert registry.counter_total("dsr_worker_reconnects_total") == 1
         finally:
             cluster.close()
 
@@ -204,6 +220,91 @@ class TestManagedFleet:
         for process in processes:
             process.join(timeout=max(0.0, deadline - time.time()))
             assert not process.is_alive()
+
+
+def _reply_bytes(raw):
+    """Whatever the host sends before closing (a reset counts as closing:
+    the host drops the connection with the rogue frame still unread)."""
+    try:
+        return raw.recv(64)
+    except ConnectionResetError:
+        return b""
+
+
+@pytest.mark.parametrize("executor_class", [TcpExecutor, ProcessExecutor])
+class TestManagedHostAuthentication:
+    """A managed host serves only its own executor: anyone else reaching the
+    loopback port is dropped before the host unpickles a byte."""
+
+    def test_peer_without_key_gets_no_reply_and_cannot_shut_down(
+        self, executor_class
+    ):
+        executor = executor_class()
+        executor.start(1)
+        try:
+            executor.hydrate(0, 0, {"factor": 3}, "tcptest.load")
+            data = pickle.dumps(("shutdown",))
+            with socket.create_connection(
+                executor.worker_addresses[0], timeout=5.0
+            ) as raw:
+                nonce = raw.recv(64)  # the host's challenge, nothing else
+                raw.sendall(struct.pack(">Q", len(data)) + data)
+                assert _reply_bytes(raw) == b""  # dropped: no reply
+            assert len(nonce) == 32
+            assert executor._managed[0].is_alive()
+            assert executor.ping(0)
+            assert executor.run_shard_phase("tcptest.scale", 0, {0: 2}) == {
+                0: (6, pytest.approx(0.0, abs=1.0))
+            }
+        finally:
+            executor.close()
+
+    def test_wrong_key_is_refused(self, executor_class):
+        executor = executor_class()
+        executor.start(1)
+        try:
+            assert executor.ping(0)  # starts the fleet
+            with socket.create_connection(
+                executor.worker_addresses[0], timeout=5.0
+            ) as raw:
+                tcp._answer_challenge(raw, b"k" * 32)
+                tcp._send_obj(raw, ("shutdown",))
+                assert _reply_bytes(raw) == b""
+            assert executor.ping(0)
+        finally:
+            executor.close()
+
+
+class TestOversizedMessages:
+    """A message over the RPC cap fails once with a typed error; it is never
+    treated as a transport failure (no reconnect, no replay)."""
+
+    @pytest.fixture
+    def executor(self, monkeypatch):
+        # Patched before start(): the forked hosts inherit the small cap.
+        monkeypatch.setattr(tcp, "MAX_RPC_BYTES", 64 * 1024)
+        executor = ProcessExecutor()
+        executor.start(1)
+        executor.hydrate(0, 0, {"factor": 1}, "tcptest.load")
+        yield executor
+        executor.close()
+
+    def test_oversized_payload_raises_without_reconnect(self, executor):
+        with use_registry() as registry:
+            started = time.perf_counter()
+            with pytest.raises(RpcMessageTooLargeError, match="cap"):
+                executor.run_shard_phase("tcptest.scale", 0, {0: b"y" * 100_000})
+            assert time.perf_counter() - started < 1.0
+            assert executor.run_shard_phase("tcptest.bytes", 0, {0: 4})[0][0] == b"xxxx"
+        assert registry.counter_total("dsr_worker_reconnects_total") == 0
+
+    def test_oversized_reply_raises_task_error_without_reconnect(self, executor):
+        with use_registry() as registry:
+            with pytest.raises(ShardTaskError, match="cap"):
+                executor.run_shard_phase("tcptest.bytes", 0, {0: 100_000})
+            assert executor.run_shard_phase("tcptest.bytes", 0, {0: 4})[0][0] == b"xxxx"
+        assert registry.counter_total("dsr_worker_reconnects_total") == 0
+        assert executor._managed[0].is_alive()
 
 
 class TestEngineParity:

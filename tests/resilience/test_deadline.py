@@ -1,8 +1,8 @@
 """End-to-end deadline tests: query field, protocol gating, enforcement.
 
 Enforcement points exercised here: admission/queue shedding in the service,
-the between-batches checkpoint, and the TCP executor's remaining-budget
-socket timeout (a wedged worker host yields a typed error, not a hang).
+the between-batches checkpoint, and the socket executors' remaining-budget
+RPC timeout (a wedged worker host yields a typed error, not a hang).
 """
 
 import os
@@ -221,8 +221,9 @@ class TestServiceEnforcement:
 
 
 class TestTcpSocketTimeout:
-    def test_wedged_host_yields_typed_error_within_budget(self):
-        cluster = SimulatedCluster(1, executor="tcp")
+    @pytest.mark.parametrize("executor", ["tcp", "processes"])
+    def test_wedged_host_yields_typed_error_within_budget(self, executor):
+        cluster = SimulatedCluster(1, executor=executor)
         try:
             cluster.hydrate_shards(0, {0: {"rank": 0}}, "restest.load")
             started = time.monotonic()

@@ -175,12 +175,16 @@ class TestServiceIntegration:
         service = DSRService(
             fleet, num_workers=1, health_probe_interval_seconds=300.0
         )
+        # Socket executors also expose the primary's worker hosts (ping).
+        expected = ["replica:0", "replica:1"]
+        if FLEET_EXECUTOR in ("processes", "tcp"):
+            expected += ["worker:0", "worker:1"]
         try:
             assert service.health is not None
-            assert service.health.target_names() == ["replica:0", "replica:1"]
+            assert service.health.target_names() == expected
             assert service.health.running
             health = service.stats()["health"]
-            assert set(health["targets"]) == {"replica:0", "replica:1"}
+            assert set(health["targets"]) == set(expected)
             assert all(
                 row["state"] == "closed" for row in health["targets"].values()
             )

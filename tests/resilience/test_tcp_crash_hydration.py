@@ -4,7 +4,9 @@ The chaos case the reconnect loop was restructured for: a managed host dies,
 its substitute is killed *again* while the executor is replaying cached
 hydrations into it (via the ``tcp.hydrate.replay`` failpoint), and the loop
 must still converge — respawning a second substitute per attempt — and
-answer with exact serial parity.
+answer with exact serial parity.  The engine case runs on both socket
+executors: ``tcp`` replays self-contained blobs, ``processes`` re-attaches
+shared-memory segments by name.
 """
 
 import os
@@ -15,6 +17,7 @@ import pytest
 from repro.api import DSRConfig, ReachQuery
 from repro.cluster.cluster import SimulatedCluster
 from repro.cluster.executors import register_shard_loader, register_shard_task
+from repro.cluster.shm import shm_available
 from repro.core.engine import DSREngine
 from repro.graph import generators
 from repro.graph.traversal import reachable_pairs
@@ -81,27 +84,32 @@ class TestCrashDuringHydrationReplay:
         finally:
             cluster.close()
 
+    @pytest.mark.parametrize("executor_name", ["tcp", "processes"])
     @pytest.mark.parametrize("kills", [1, 2])
-    def test_engine_answers_with_exact_serial_parity(self, kills):
+    def test_engine_answers_with_exact_serial_parity(self, kills, executor_name):
         graph = generators.social_graph(150, avg_degree=4, seed=5)
         serial = DSREngine.from_config(
             graph.copy(),
             DSRConfig(num_partitions=3, local_index="msbfs", seed=2),
         )
-        tcp = DSREngine.from_config(
+        remote = DSREngine.from_config(
             graph.copy(),
             DSRConfig(
-                num_partitions=3, local_index="msbfs", seed=2, executor="tcp"
+                num_partitions=3, local_index="msbfs", seed=2, executor=executor_name
             ),
         )
         serial.build_index()
-        tcp.build_index()
+        remote.build_index()
         try:
-            executor = tcp.cluster.executor
+            executor = remote.cluster.executor
+            # Shared-memory hydration iff processes (and shm is enabled).
+            assert (remote.index._shm_ledger is not None) == (
+                executor_name == "processes" and shm_available()
+            )
             vertices = sorted(graph.vertices())
             query = ReachQuery(tuple(vertices[:6]), tuple(vertices[100:106]))
             expected = serial.run(query)
-            assert set(tcp.run(query).pairs) == set(expected.pairs)
+            assert set(remote.run(query).pairs) == set(expected.pairs)
             victim = executor._managed[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
@@ -116,7 +124,7 @@ class TestCrashDuringHydrationReplay:
                     )
                 ]
             ) as registry:
-                result = tcp.run(query)
+                result = remote.run(query)
                 assert registry.fired("tcp.hydrate.replay") == kills
             # Exact parity: pairs, message and byte accounting all converge
             # to the serial ground truth despite the mid-replay crashes.
@@ -128,4 +136,4 @@ class TestCrashDuringHydrationReplay:
             )
         finally:
             serial.close()
-            tcp.close()
+            remote.close()
